@@ -30,6 +30,7 @@
 #include "bench_common.hpp"
 #include "graph/edge_connectivity.hpp"
 #include "net/transport.hpp"
+#include "serve/session.hpp"
 #include "sketch/shard.hpp"
 #include "sketch/sketch_io.hpp"
 #include "sketch/stream.hpp"
@@ -141,7 +142,8 @@ int main(int argc, char** argv) {
     ref_opt.shards = 1;
     const std::vector<std::uint8_t> ref_bank =
         encode_bank(apply_sharded(stream, sopt, ref_opt).sketch);
-    const SparsifyResult ref_cert = sharded_sparsify_stream(stream, k, sopt, ref_opt);
+    const IngestOptions ref_io{.mode = IngestMode::kSharded, .sketch = sopt, .shard = ref_opt};
+    const SparsifyResult ref_cert = ingest(stream, k, ref_io);
     const bool cert_ok = ref_cert.certificate.num_edges() <= k * (n - 1) &&
                          is_k_edge_connected(ref_cert.certificate, k);
     all_ok = all_ok && cert_ok;

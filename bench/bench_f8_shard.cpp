@@ -23,6 +23,7 @@
 
 #include "bench_common.hpp"
 #include "graph/edge_connectivity.hpp"
+#include "serve/session.hpp"
 #include "sketch/shard.hpp"
 #include "sketch/sketch_io.hpp"
 #include "sketch/stream.hpp"
@@ -73,7 +74,8 @@ int main(int argc, char** argv) {
     ref_opt.shards = 1;
     const std::vector<std::uint8_t> ref_bank =
         encode_bank(apply_sharded(stream, sopt, ref_opt).sketch);
-    const SparsifyResult ref_cert = sharded_sparsify_stream(stream, k, sopt, ref_opt);
+    const IngestOptions ref_io{.mode = IngestMode::kSharded, .sketch = sopt, .shard = ref_opt};
+    const SparsifyResult ref_cert = ingest(stream, k, ref_io);
     const bool cert_ok = ref_cert.certificate.num_edges() <= k * (n - 1) &&
                          is_k_edge_connected(ref_cert.certificate, k);
     all_ok = all_ok && cert_ok;
@@ -90,7 +92,8 @@ int main(int argc, char** argv) {
         // Exactness first (untimed), then a timed ingestion pass.
         const ShardIngestResult r = apply_sharded(stream, sopt, opt);
         const bool identical = encode_bank(r.sketch) == ref_bank;
-        const SparsifyResult sp = sharded_sparsify_stream(stream, k, sopt, opt);
+        const IngestOptions io{.mode = IngestMode::kSharded, .sketch = sopt, .shard = opt};
+        const SparsifyResult sp = ingest(stream, k, io);
         bool cert_identical = sp.certificate.num_edges() == ref_cert.certificate.num_edges();
         if (cert_identical)
           for (const Edge& e : ref_cert.certificate.edges())

@@ -27,6 +27,7 @@
 
 #include "bench_common.hpp"
 #include "graph/edge_connectivity.hpp"
+#include "serve/session.hpp"
 #include "sketch/shard.hpp"
 #include "sketch/sketch_connectivity.hpp"
 #include "sketch/stream.hpp"
@@ -149,8 +150,9 @@ int main(int argc, char** argv) {
       aopt.auto_size.enabled = true;
       const int threads = thread_counts.back();
       const auto start = std::chrono::steady_clock::now();
-      const SparsifyResult sp =
-          sharded_sparsify_stream(stream, k, aopt, shopt, {.threads = threads});
+      IngestOptions io{.mode = IngestMode::kSharded, .sketch = aopt, .shard = shopt};
+      io.recovery.threads = threads;
+      const SparsifyResult sp = ingest(stream, k, io);
       const double ms = ms_since(start);
       const bool cert_ok = sp.certificate.num_edges() <= k * (n - 1) &&
                            (n > verify_limit || is_k_edge_connected(sp.certificate, k));

@@ -23,8 +23,8 @@
 // pid lane, parented under the coordinator's net.execute spans via the
 // trace context the Start message carries (docs/tracing.md).
 //
-// The certificate is bit-identical to single-process
-// sharded_sparsify_stream() on the same seeded stream — linearity makes any
+// The certificate is bit-identical to a single-process sharded ingest() of
+// the same seeded stream — linearity makes any
 // disjoint stream partition merge to the same bank, and split_seed lets
 // every process derive the same per-copy sampler seeds with zero shared
 // state. The 2-ECSS run on the DistributedEngine must match the sequential
@@ -51,6 +51,7 @@
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "serve/session.hpp"
 #include "sketch/shard.hpp"
 #include "sketch/stream.hpp"
 #include "support/rng.hpp"
@@ -131,11 +132,14 @@ int main(int argc, char** argv) {
     raw.push_back(accepted.back().get());
   }
 
-  // One shared pool (4 threads) overlaps the four workers' chunk streams
-  // with assembly, then runs the Borůvka recovery fan-out.
-  IngestCoordinatorOptions copt;
-  copt.threads = 4;
-  const SparsifyResult remote = coordinated_sparsify(raw, n, k, opt, copt);
+  // A coordinated session over the fleet. One shared pool (4 threads)
+  // overlaps the four workers' chunk streams with assembly, then runs the
+  // Borůvka recovery fan-out; close() shuts the workers down.
+  IngestOptions io{.mode = IngestMode::kCoordinated, .sketch = opt, .workers = raw};
+  io.coordinator.threads = 4;
+  GraphSession session(n, k, io);
+  const SparsifyResult remote = session.query();
+  session.close();
   std::printf("coordinator: assembled %d-vertex bank from %d chunk streams, %d forest(s), "
               "%d copies used\n",
               n, workers, static_cast<int>(remote.forests.size()), remote.copies_used);
@@ -154,15 +158,14 @@ int main(int argc, char** argv) {
 
   // The acceptance bar: the multi-process flow must equal single-process
   // sharded ingestion (and therefore sequential ingestion) edge for edge.
-  ShardOptions sh;
-  sh.shards = workers;
-  const SparsifyResult local = sharded_sparsify_stream(stream, k, opt, sh);
+  IngestOptions sharded{.mode = IngestMode::kSharded, .sketch = opt};
+  sharded.shard.shards = workers;
+  const SparsifyResult local = ingest(stream, k, sharded);
   bool identical = local.certificate.num_edges() == remote.certificate.num_edges();
   if (identical)
     for (const Edge& e : local.certificate.edges())
       identical = identical && remote.certificate.has_edge(e.u, e.v);
-  std::printf("identical to single-process sharded_sparsify_stream: %s\n",
-              identical ? "yes" : "NO");
+  std::printf("identical to single-process sharded ingest: %s\n", identical ? "yes" : "NO");
 
   // The CONGEST pipeline runs on the sparsifier.
   Network cert_net(remote.certificate);

@@ -12,6 +12,7 @@
 #include "ecss/distributed_kecss.hpp"
 #include "graph/edge_connectivity.hpp"
 #include "graph/generators.hpp"
+#include "serve/session.hpp"
 #include "sketch/sketch_connectivity.hpp"
 #include "sketch/stream.hpp"
 #include "support/rng.hpp"
@@ -39,7 +40,7 @@ int main() {
   SketchOptions opt;
   opt.seed = 42;
   opt.auto_size.enabled = true;
-  const SparsifyResult sp = sparsify_stream(stream, k, opt, {.threads = 4});
+  const SparsifyResult sp = ingest(stream, k, {.sketch = opt, .recovery = {.threads = 4}});
   std::printf("certificate: %d edges (bound k(n-1) = %d), %d sketch copies used\n",
               sp.certificate.num_edges(), k * (n - 1), sp.copies_used);
   std::printf("auto-sizing: %d attempt(s), settled on columns=%d rounds_slack=%d "

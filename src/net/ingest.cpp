@@ -1,7 +1,7 @@
 #include "net/ingest.hpp"
 
-#include <memory>
 #include <mutex>
+#include <ranges>
 #include <string>
 #include <utility>
 
@@ -105,38 +105,22 @@ void run_ingest_worker(Transport& coordinator, const GraphStream& stream, std::u
     // with the broadcast sizing. Linearity makes any disjoint partition of
     // the stream merge to the bank a single ingester would build, and
     // split_seed derives the per-copy seeds from the options alone, so no
-    // further coordination is needed. The slice is regrouped into
-    // per-source runs (apply_batched's discipline, inlined — a slice of
-    // deletes is not a valid GraphStream on its own) and applied through
-    // the batch boundary under wopt.backend; bit-identity across backends
-    // keeps the shipped chunks byte-stable whatever each worker picks.
-    DECK_CHECK(wopt.batch_halves >= 1);
+    // further coordination is needed. The slice is an index view over the
+    // stream (no copy), regrouped into per-source runs by apply_batched
+    // and applied under wopt.backend; bit-identity across backends keeps
+    // the shipped chunks byte-stable whatever each worker picks.
     const SketchOptions aopt = decode_attempt(r);
     SketchConnectivity bank(n, aopt);
-    {
-      const std::unique_ptr<BatchApplier> applier = make_batch_applier(bank, wopt.backend);
-      std::vector<std::vector<VertexDelta>> pending(static_cast<std::size_t>(n));
-      auto flush = [&](VertexId src) {
-        auto& buf = pending[static_cast<std::size_t>(src)];
-        if (buf.empty()) return;
-        applier->submit(src, std::span<const VertexDelta>(buf.data(), buf.size()));
-        buf.clear();
-      };
-      auto push = [&](VertexId src, VertexId dst, int delta) {
-        auto& buf = pending[static_cast<std::size_t>(src)];
-        buf.push_back({dst, delta});
-        if (buf.size() >= wopt.batch_halves) flush(src);
-      };
-      std::size_t index = 0;
-      for (const StreamUpdate& u : stream.updates()) {
-        if (index++ % num_workers != worker_id) continue;
-        const int delta = u.insert ? 1 : -1;
-        push(u.u, u.v, delta);
-        push(u.v, u.u, delta);
-      }
-      for (VertexId v = 0; v < n; ++v) flush(v);
-      applier->finish();  // merge barrier before the bank is encoded
-    }
+    const std::vector<StreamUpdate>& all = stream.updates();
+    const std::size_t slice_size = (all.size() + num_workers - 1 - worker_id) / num_workers;
+    const auto at = [&](std::size_t i) -> const StreamUpdate& {
+      return all[worker_id + i * num_workers];
+    };
+    const auto apply = [&](VertexId src, std::span<const VertexDelta> deltas) {
+      bank.apply_batch(src, deltas, wopt.backend);
+    };
+    const auto slice = std::views::iota(std::size_t{0}, slice_size) | std::views::transform(at);
+    apply_batched(n, slice, wopt.batch_halves, apply);
 
     ChunkOptions copt;
     copt.source_id = worker_id;

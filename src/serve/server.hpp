@@ -10,7 +10,7 @@
 // session itself is single-threaded. Interleaving across clients is
 // arbitrary, but sketch linearity makes the live bank depend only on the
 // *set* of applied updates, so any query is bit-identical to a one-shot
-// sparsify_stream over some serial order of the updates applied so far.
+// ingest() of some serial order of the updates applied so far.
 //
 // Fault discipline: a request the server cannot honor draws an Error frame
 // and the connection stays open — one client's malformed frame or invalid

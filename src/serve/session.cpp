@@ -54,15 +54,13 @@ GraphSession::GraphSession(int n, int k, IngestOptions opt)
     DECK_CHECK(opt_.shard.batch_size >= 1);
   }
   bank_.emplace(n_, live_bank_options());
-  // Gutter flushes reach the live bank through the batch-apply boundary
-  // (sketch/apply.hpp) under the configured backend. Parallel drains are
-  // safe: gutters own disjoint source ranges, and the CPU appliers apply
-  // submits for distinct sources independently.
-  applier_ = make_batch_applier(*bank_, opt_.shard.backend);
+  // Gutter flushes apply straight to the live bank under the configured
+  // backend. Parallel drains are safe: gutters own disjoint source ranges,
+  // and apply_batch only touches its source's sketch array.
   GutterOptions gopt = opt_.gutter;
   if (gopt.pool == nullptr) gopt.pool = drain_pool();
   gutters_.emplace(n_, gopt, [this](VertexId src, std::span<const VertexDelta> deltas) {
-    applier_->submit(src, deltas);
+    bank_->apply_batch(src, deltas, opt_.shard.backend);
   });
 }
 
@@ -116,7 +114,6 @@ void GraphSession::apply(const StreamUpdate& u) {
   else
     stream_.erase(u.u, u.v);
   gutters_->push(u.u, u.v, u.insert ? 1 : -1);
-  ++folded_;
   ++stats_.updates;
   ++(u.insert ? stats_.inserts : stats_.deletes);
   if (obs::enabled()) {
@@ -132,37 +129,16 @@ void GraphSession::ingest(const GraphStream& s) {
   DECK_CHECK_MSG(s.num_vertices() == n_,
                  "bulk ingest of an n=" << s.num_vertices() << " stream into an n=" << n_
                                         << " session");
-  // Validated append, then fold the appended tail through the gutters via
-  // the replay cursor.
-  for (const StreamUpdate& u : s.updates()) {
-    if (u.insert)
-      stream_.insert(u.u, u.v);
-    else
-      stream_.erase(u.u, u.v);
-  }
-  std::uint64_t inserts = 0;
-  for (const StreamUpdate& u : stream_.updates_since(folded_)) {
-    gutters_->push(u.u, u.v, u.insert ? 1 : -1);
-    if (u.insert) ++inserts;
-  }
-  const std::uint64_t appended = stream_.size() - folded_;
-  folded_ = stream_.size();
-  stats_.updates += appended;
-  stats_.inserts += inserts;
-  stats_.deletes += appended - inserts;
-  if (obs::enabled()) {
-    SessionMetrics& m = SessionMetrics::get();
-    m.updates.add(appended);
-    m.inserts.add(inserts);
-    m.deletes.add(appended - inserts);
-  }
+  // Update by update, exactly as apply() ingests: each reaches the gutters
+  // as soon as it is validated, so a rejected update leaves the retained
+  // stream, the live bank and the stats in agreement.
+  for (const StreamUpdate& u : s.updates()) apply(u);
 }
 
 void GraphSession::flush() {
   check_open();
   check_local("flush");
   gutters_->drain();
-  applier_->finish();
 }
 
 std::size_t GraphSession::pending_updates() const {
@@ -209,10 +185,8 @@ SparsifyResult GraphSession::query(int k) {
 
 SparsifyResult GraphSession::query_local(int k) {
   // Pause/flush: the live bank must sketch everything ingested so far
-  // before it is cloned — drain the gutters, then cross the apply
-  // boundary's merge barrier.
+  // before it is cloned.
   gutters_->drain();
-  applier_->finish();
   return recover_certificate(k, opt_.sketch, opt_.recovery,
                              [this](const SketchOptions& aopt) { return attempt_bank(aopt); });
 }
@@ -252,7 +226,6 @@ void GraphSession::close() {
     return;
   }
   gutters_->drain();
-  applier_->finish();
 }
 
 SessionStats GraphSession::stats() const {
@@ -267,45 +240,6 @@ SparsifyResult ingest(const GraphStream& stream, int k, const IngestOptions& opt
   GraphSession session(stream.num_vertices(), k, opt);
   session.ingest(stream);
   SparsifyResult result = session.query();
-  session.close();
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated one-shot wrappers. Declared in sketch/sketch_connectivity.hpp,
-// sketch/shard.hpp, and net/ingest.hpp; defined here so the lower layers
-// never include serve/ headers. Each is property-tested bit-identical to
-// its pre-facade implementation (tests/test_serve.cpp, plus the original
-// suites, which still run against these names).
-
-SparsifyResult sparsify_stream(const GraphStream& stream, int k, const SketchOptions& opt,
-                               const RecoveryOptions& ropt) {
-  IngestOptions io;
-  io.sketch = opt;
-  io.recovery = ropt;
-  return ingest(stream, k, io);
-}
-
-SparsifyResult sharded_sparsify_stream(const GraphStream& stream, int k, const SketchOptions& sopt,
-                                       const ShardOptions& opt, const RecoveryOptions& ropt) {
-  IngestOptions io;
-  io.mode = IngestMode::kSharded;
-  io.sketch = sopt;
-  io.recovery = ropt;
-  io.shard = opt;
-  return ingest(stream, k, io);
-}
-
-SparsifyResult coordinated_sparsify(const std::vector<Transport*>& workers, int n, int k,
-                                    const SketchOptions& opt,
-                                    const IngestCoordinatorOptions& copt) {
-  IngestOptions io;
-  io.mode = IngestMode::kCoordinated;
-  io.sketch = opt;
-  io.workers = workers;
-  io.coordinator = copt;
-  GraphSession session(n, k, io);
-  SparsifyResult result = session.query(k);
   session.close();
   return result;
 }

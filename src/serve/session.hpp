@@ -1,9 +1,8 @@
 #pragma once
 
 // GraphSession — the long-lived session facade over the streaming
-// sparsification pipeline, and the single entry point the three historical
-// one-shot drivers (sparsify_stream, sharded_sparsify_stream,
-// coordinated_sparsify) are now thin wrappers over.
+// sparsification pipeline, and the single way to get a certificate:
+// deck::ingest() below is its one-shot form (open, bulk-ingest, query once).
 //
 // Lifecycle: open → insert/delete (or bulk ingest) → query(k) → resume →
 // close. Updates land in a write-optimized guttering stage
@@ -13,15 +12,16 @@
 // never consumed, so ingest continues where it left off and the next query
 // folds only the deltas that arrived since (banks are not rebuilt).
 //
-// Bit-identity contract: query() at any point returns exactly what the
-// one-shot sparsify_stream would return on the stream ingested so far —
-// for every gutter flush policy, gutter count, ingest mode, and recovery
-// thread count. Two ingredients make that a theorem rather than a test
-// hope: sketch linearity (any regrouping of updates sums to the same
-// bank) and deterministic recovery (forests are a function of bank bytes
-// alone). Adaptive sizing holds the live bank at the attempt-0 sizing;
-// attempt 0 of a query clones it, and only the rare grown attempts replay
-// the retained stream through GraphStream::updates_since.
+// Bit-identity contract: query() at any point returns exactly what a
+// one-shot ingest() of the stream ingested so far would return — and what
+// recover_certificate over a plain in-order bank would — for every gutter
+// flush policy, gutter count, ingest mode, and recovery thread count.
+// Two ingredients make that a theorem rather than a test hope: sketch
+// linearity (any regrouping of updates sums to the same bank) and
+// deterministic recovery (forests are a function of bank bytes alone).
+// Adaptive sizing holds the live bank at the attempt-0 sizing; attempt 0
+// of a query clones it, and only the rare grown attempts replay the
+// retained stream through GraphStream::updates_since.
 //
 // Ingest modes (IngestOptions::mode):
 //   kSequential  — gutters flush inline on the session thread.
@@ -40,7 +40,6 @@
 
 #include "net/ingest.hpp"
 #include "serve/gutter.hpp"
-#include "sketch/apply.hpp"
 #include "sketch/shard.hpp"
 #include "sketch/sketch_connectivity.hpp"
 #include "sketch/stream.hpp"
@@ -53,26 +52,29 @@ enum class IngestMode {
   kCoordinated = 2,
 };
 
-/// Everything that shaped the three historical entry points, in one bag.
-/// Defaults reproduce sparsify_stream(stream, k, {}, {}).
+/// Every ingest knob, in one bag. Defaults: sequential ingest, default
+/// sketch sizing, single-threaded recovery. Every member has a default
+/// initializer, so designated initializers may name any subset:
+/// ingest(stream, k, {.mode = IngestMode::kSharded, .shard = {.shards = 4}}).
 struct IngestOptions {
   IngestMode mode = IngestMode::kSequential;
-  SketchOptions sketch;
-  RecoveryOptions recovery;
+  SketchOptions sketch{};
+  RecoveryOptions recovery{};
   /// kSharded: shard count / lent pool for parallel gutter drains. The
-  /// sharding enum is ignored — gutters are always contiguous vertex
-  /// ranges (the kVertexRange discipline). shard.backend selects the
+  /// sharding enum and batch_size are ignored — gutters are always
+  /// contiguous vertex ranges (the kVertexRange discipline) and flush per
+  /// GutterOptions::policy, not in fixed batches. shard.backend selects the
   /// batch-apply execution strategy (sketch/apply.hpp) for gutter flushes
   /// in *every* local mode, kSequential included; kCoordinated workers
   /// choose their own via IngestWorkerOptions::backend. Bit-identity
   /// holds across backends, so this is pure execution policy.
-  ShardOptions shard;
+  ShardOptions shard{};
   /// Gutter layout and flush policy (all modes except kCoordinated).
-  GutterOptions gutter;
+  GutterOptions gutter{};
   /// kCoordinated: connected worker transports (each running
   /// run_ingest_worker) and the coordinator pool sizing.
-  std::vector<Transport*> workers;
-  IngestCoordinatorOptions coordinator;
+  std::vector<Transport*> workers{};
+  IngestCoordinatorOptions coordinator{};
 };
 
 /// Session-lifetime accounting, including the gutter stage's.
@@ -109,22 +111,25 @@ class GraphSession {
   GraphSession& operator=(const GraphSession&) = delete;
 
   /// Appends one edge update. Validated like GraphStream (inserting a live
-  /// edge or deleting an absent one throws); buffered in the gutters, not
-  /// yet in the live bank. Unavailable in kCoordinated mode.
+  /// edge or deleting an absent one throws, and leaves the session as it
+  /// was); buffered in the gutters, not yet in the live bank. Unavailable
+  /// in kCoordinated mode.
   void insert(VertexId u, VertexId v);
   void erase(VertexId u, VertexId v);
   void apply(const StreamUpdate& u);
 
   /// Bulk ingest: appends every update of `s` (same vertex count) in
-  /// order, as if replayed through insert()/erase().
+  /// order, as if replayed through insert()/erase(): when an update fails
+  /// validation it throws, the updates before it stay ingested, and it and
+  /// the rest of `s` are not.
   void ingest(const GraphStream& s);
 
   /// Pause/flush/recover/resume: drains the gutters into the live bank,
   /// recovers a k-forest Thurimella certificate from a clone, and leaves
-  /// the session ready for more updates. Bit-identical to the equivalent
-  /// one-shot sparsify_stream on the stream ingested so far. query() uses
-  /// the session k (the live bank's shape); query(k) for any other k
-  /// replays the retained stream instead of cloning.
+  /// the session ready for more updates. Bit-identical to a one-shot
+  /// ingest() of the stream ingested so far. query() uses the session k
+  /// (the live bank's shape); query(k) for any other k replays the
+  /// retained stream instead of cloning.
   SparsifyResult query();
   SparsifyResult query(int k);
 
@@ -168,21 +173,16 @@ class GraphSession {
   IngestOptions opt_;
   bool closed_ = false;
   GraphStream stream_;
-  std::size_t folded_ = 0;  // stream_ updates already pushed into gutters
   std::optional<SketchConnectivity> bank_;  // live bank (local modes)
-  /// Batch boundary gutter flushes apply through (opt_.shard.backend);
-  /// finish() is called at every drain point so an asynchronous offload
-  /// backend could slot in without touching the query path.
-  std::unique_ptr<BatchApplier> applier_;
   std::optional<GutteringSystem> gutters_;
   std::unique_ptr<ThreadPool> owned_pool_;  // kSharded drain / coordinator pool
   bool roster_validated_ = false;           // kCoordinated: Hellos consumed
   SessionStats stats_;
 };
 
-/// ingest() — the facade function behind the deprecated one-shot wrappers:
-/// opens a session, bulk-ingests `stream`, and queries once. Local modes
-/// only (coordinated_sparsify wraps the session directly).
+/// ingest() — the one-shot entry point: opens a session, bulk-ingests
+/// `stream`, and queries once. Local modes only; a kCoordinated query reads
+/// the workers' streams, so open a GraphSession for it instead.
 SparsifyResult ingest(const GraphStream& stream, int k, const IngestOptions& opt);
 
 }  // namespace deck

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "sketch/sketch_connectivity.hpp"
 #include "support/check.hpp"
 
 namespace deck {
@@ -27,16 +26,5 @@ ApplyBackend parse_apply_backend(std::string_view name) {
 
 // simd_apply_kernel() is defined in l0_sampler.cpp so the #ifdef sees the
 // compile flags of the TU that actually holds the kernel.
-
-BatchApplier::BatchApplier(SketchConnectivity& bank, ApplyBackend backend)
-    : bank_(bank), backend_(backend) {}
-
-void BatchApplier::submit(VertexId src, std::span<const VertexDelta> deltas) {
-  bank_.apply_batch(src, deltas, backend_);
-}
-
-std::unique_ptr<BatchApplier> make_batch_applier(SketchConnectivity& bank, ApplyBackend backend) {
-  return std::make_unique<BatchApplier>(bank, backend);
-}
 
 }  // namespace deck

@@ -108,8 +108,4 @@ ShardIngestResult apply_sharded(const GraphStream& stream, const SketchOptions& 
   return {std::move(merged), std::move(shard_batches), std::move(shard_halves)};
 }
 
-// sharded_sparsify_stream() is now a deprecated wrapper over the
-// GraphSession facade; its definition lives in serve/session.cpp so this
-// layer never includes serve/ headers.
-
 }  // namespace deck

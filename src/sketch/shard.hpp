@@ -86,20 +86,4 @@ struct ShardIngestResult {
 ShardIngestResult apply_sharded(const GraphStream& stream, const SketchOptions& sopt,
                                 const ShardOptions& opt);
 
-/// Sharded twin of sparsify_stream(): parallel ingestion, then the same
-/// k-forest peeling on the merged bank — itself parallel over
-/// ropt.threads. Recovered forests and certificate are identical to
-/// sparsify_stream(stream, k, sopt, ropt) for fixed seeds, for every shard
-/// count, sharding mode, and recovery thread count. With
-/// sopt.auto_size.enabled, every adaptive attempt re-ingests through the
-/// same sharded path, so all shards of an attempt agree on the attempt's
-/// sizing by construction.
-///
-/// DEPRECATED wrapper over the GraphSession facade (serve/session.hpp):
-/// opens a kSharded session (parallel gutter drains on opt.shards workers),
-/// bulk-ingests `stream`, and queries once. New code should open a
-/// GraphSession or call deck::ingest().
-SparsifyResult sharded_sparsify_stream(const GraphStream& stream, int k, const SketchOptions& sopt,
-                                       const ShardOptions& opt, const RecoveryOptions& ropt = {});
-
 }  // namespace deck

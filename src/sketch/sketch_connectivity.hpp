@@ -24,8 +24,8 @@
 //
 // The union of the k peeled forests is a Thurimella certificate: ≤ k(n-1)
 // edges, k-edge-connected whenever the streamed graph is (w.h.p. over the
-// sketch seed). sparsify_stream() materializes it as a deck::Graph so the
-// CONGEST pipeline (distributed_kecss / distributed_2ecss) runs on the
+// sketch seed). recover_certificate() materializes it as a deck::Graph so
+// the CONGEST pipeline (distributed_kecss / distributed_2ecss) runs on the
 // O(kn)-edge sparsifier instead of the raw stream.
 //
 // Sketch sizing is either fixed (SketchOptions::columns / rounds_slack, the
@@ -52,12 +52,12 @@ namespace deck {
 class ThreadPool;
 
 /// Adaptive sketch-sizing policy (SketchOptions::auto_size). When enabled,
-/// sparsify_stream() / sharded_sparsify_stream() ignore the fixed
-/// columns/rounds_slack and instead run an attempt loop: attempt a uses
-/// seed split_seed(opt.seed, a) and the current sizing; a failed recovery
-/// multiplies the failing dimension by `growth` and retries the forests
-/// that did not complete. Every shard of an attempt derives the identical
-/// sizing from the policy, so sharded and sequential adaptive runs agree.
+/// recover_certificate() ignores the fixed columns/rounds_slack and instead
+/// runs an attempt loop: attempt a uses seed split_seed(opt.seed, a) and
+/// the current sizing; a failed recovery multiplies the failing dimension
+/// by `growth` and retries the forests that did not complete. Every shard
+/// of an attempt derives the identical sizing from the policy, so sharded
+/// and sequential adaptive runs agree.
 struct AutoSizePolicy {
   bool enabled = false;
   /// Attempt-0 sizing, deliberately below the worst case.
@@ -82,7 +82,7 @@ struct SketchOptions {
   /// retry on the next round's fresh copies.
   int rounds_slack = 4;
   /// Adaptive sizing policy; disabled by default (fixed sizing above).
-  AutoSizePolicy auto_size;
+  AutoSizePolicy auto_size{};
 };
 
 /// An undirected edge recovered from a sketch (no id — stream edges have
@@ -151,8 +151,10 @@ class SketchConnectivity {
   void update(VertexId u, VertexId v, int delta);
 
   /// Applies a batch of directed halves to src's sketch array only — the
-  /// multi-inserter entry point used by apply_batched(). Every undirected
-  /// update must eventually reach both endpoints. `backend` picks the
+  /// one batched apply call every ingest surface makes (sharded apply,
+  /// gutter flushes, net ingest workers). Synchronous, and it touches no
+  /// other vertex, so calls for distinct sources may run concurrently.
+  /// Every undirected update must eventually reach both endpoints. `backend` picks the
   /// execution strategy (sketch/apply.hpp): kScalar is the delta-major
   /// reference loop, kSimd translates the batch once and replays it over
   /// each copy as cache-resident batched column passes — bit-identical
@@ -240,16 +242,8 @@ struct SparsifyResult {
   RecoveryStats stats;
 };
 
-/// DEPRECATED wrapper over the GraphSession facade (serve/session.hpp):
-/// opens a kSequential session, bulk-ingests `stream`, and queries once.
-/// Bit-identical to the historical one-shot implementation for fixed seeds
-/// (sketch linearity + deterministic recovery). New code should open a
-/// GraphSession or call deck::ingest().
-SparsifyResult sparsify_stream(const GraphStream& stream, int k, const SketchOptions& opt = {},
-                               const RecoveryOptions& ropt = {});
-
-/// Shared ingest→recover driver behind sparsify_stream() and
-/// sharded_sparsify_stream(): `ingest` builds and fills a bank for one
+/// The ingest→recover loop behind every GraphSession mode
+/// (serve/session.hpp): `ingest` builds and fills a bank for one
 /// attempt's options (the adaptive loop calls it once per attempt with
 /// geometrically grown sizing and a split_seed-derived attempt seed).
 SparsifyResult recover_certificate(

@@ -13,7 +13,7 @@
 // its source vertex and delivered as source-grouped runs — full batches as
 // they fill mid-stream, remainders at the end. Sketch linearity makes the
 // regrouped application equivalent to the in-order one;
-// collect_batches() materializes the same delivery for parallel consumers.
+// collect_batches() materializes the same delivery for apply_sharded.
 
 #include <algorithm>
 #include <atomic>
@@ -103,21 +103,20 @@ class GraphStream {
   std::unordered_set<std::uint64_t> live_;
 };
 
-/// Streams the updates into `apply(src, std::span<const VertexDelta>)` in
-/// per-source batches of at most batch_size halves. Delivery order: a
-/// source's buffer is flushed the moment it reaches batch_size — so full
-/// batches from different sources interleave in stream order — and the
-/// partial buffers remaining at end of stream are flushed in ascending
-/// source order. Within one source, halves always arrive in stream order,
-/// and both halves of every update are delivered exactly once; sketch
-/// linearity makes any such regrouping merge to the bank an in-order
-/// applier would build. collect_batches() below materializes this exact
-/// delivery as SourceBatch values — the batch list the sharded and
-/// serving layers distribute.
-template <typename Applier>
-void apply_batched(const GraphStream& s, std::size_t batch_size, Applier&& apply) {
+/// Streams `updates` (a range of StreamUpdate over vertices [0, n)) into
+/// `apply(src, std::span<const VertexDelta>)` in per-source batches of at
+/// most batch_size halves. Delivery order: a source's buffer is flushed the
+/// moment it reaches batch_size — so full batches from different sources
+/// interleave in update order — and the partial buffers remaining at the
+/// end are flushed in ascending source order. Within one source, halves
+/// always arrive in update order, and both halves of every update are
+/// delivered exactly once; sketch linearity makes any such regrouping merge
+/// to the bank an in-order applier would build. The range need not be a
+/// valid GraphStream on its own — a net ingest worker passes its strided
+/// slice of one, which may delete edges it never saw inserted.
+template <typename Updates, typename Applier>
+void apply_batched(int n, Updates&& updates, std::size_t batch_size, Applier&& apply) {
   DECK_CHECK(batch_size >= 1);
-  const int n = s.num_vertices();
   std::vector<std::vector<VertexDelta>> pending(static_cast<std::size_t>(n));
   auto flush = [&](VertexId src) {
     auto& buf = pending[static_cast<std::size_t>(src)];
@@ -130,12 +129,20 @@ void apply_batched(const GraphStream& s, std::size_t batch_size, Applier&& apply
     buf.push_back({dst, delta});
     if (buf.size() >= batch_size) flush(src);
   };
-  for (const StreamUpdate& u : s.updates()) {
+  for (const StreamUpdate& u : updates) {
     const int delta = u.insert ? 1 : -1;
     push(u.u, u.v, delta);
     push(u.v, u.u, delta);
   }
   for (VertexId v = 0; v < n; ++v) flush(v);
+}
+
+/// The whole stream, regrouped. collect_batches() below materializes this
+/// exact delivery as SourceBatch values — the batch list apply_sharded
+/// distributes across its shards.
+template <typename Applier>
+void apply_batched(const GraphStream& s, std::size_t batch_size, Applier&& apply) {
+  apply_batched(s.num_vertices(), s.updates(), batch_size, std::forward<Applier>(apply));
 }
 
 /// One materialized per-source batch, the unit of work the sharded ingestion

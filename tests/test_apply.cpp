@@ -142,21 +142,6 @@ TEST(ApplyBackend, TinyGraphIdentity) {
   }
 }
 
-TEST(ApplyBackend, BatchApplierBoundary) {
-  const GraphStream stream = churned_stream(32, 2, 501);
-  const SketchOptions opt = small_options(502);
-  const std::vector<std::uint8_t> want = encode_bank(reference_bank(stream, opt));
-  for (ApplyBackend backend : {ApplyBackend::kScalar, ApplyBackend::kSimd}) {
-    SketchConnectivity bank(stream.num_vertices(), opt);
-    const std::unique_ptr<BatchApplier> applier = make_batch_applier(bank, backend);
-    EXPECT_EQ(applier->backend(), backend);
-    for (const SourceBatch& b : collect_batches(stream, 19))
-      applier->submit(b.src, std::span<const VertexDelta>(b.deltas.data(), b.deltas.size()));
-    applier->finish();
-    EXPECT_EQ(encode_bank(bank), want) << to_string(backend);
-  }
-}
-
 TEST(ApplyBackend, ShardedIdentityAcrossShardCountsAndModes) {
   // The tentpole property: scalar and simd banks are encode_bank-equal for
   // shard counts {1, 2, 4, 8} under every sharding mode.
@@ -183,8 +168,8 @@ TEST(ApplyBackend, ShardedIdentityAcrossShardCountsAndModes) {
 }
 
 TEST(ApplyBackend, GutterFlushPolicyIdentity) {
-  // Gutter flush path, straight through a BatchApplier: every flush policy
-  // and backend merges to the same bank bytes.
+  // Gutter flush path, straight into apply_batch: every flush policy and
+  // backend merges to the same bank bytes.
   const GraphStream stream = churned_stream(40, 2, 601);
   const SketchOptions opt = small_options(602);
   const std::vector<std::uint8_t> want = encode_bank(reference_bank(stream, opt));
@@ -196,18 +181,16 @@ TEST(ApplyBackend, GutterFlushPolicyIdentity) {
   for (const FlushPolicy& policy : policies) {
     for (ApplyBackend backend : {ApplyBackend::kScalar, ApplyBackend::kSimd}) {
       SketchConnectivity bank(stream.num_vertices(), opt);
-      const std::unique_ptr<BatchApplier> applier = make_batch_applier(bank, backend);
       GutterOptions gopt;
       gopt.num_gutters = 4;
       gopt.policy = policy;
       GutteringSystem gutters(stream.num_vertices(), gopt,
                               [&](VertexId src, std::span<const VertexDelta> deltas) {
-                                applier->submit(src, deltas);
+                                bank.apply_batch(src, deltas, backend);
                               });
       for (const StreamUpdate& u : stream.updates())
         gutters.push(u.u, u.v, u.insert ? 1 : -1);
       gutters.drain();
-      applier->finish();
       EXPECT_EQ(encode_bank(bank), want)
           << "max_halves=" << policy.max_halves << " max_age=" << policy.max_age
           << " backend=" << to_string(backend);

@@ -1,8 +1,8 @@
 // Serving-layer suite: the guttering stage, GraphStream replay cursors, the
 // GraphSession lifecycle (and its bit-identity contract against the
-// pre-facade one-shot pipeline), the deprecated wrappers, and the serve
-// wire protocol — single client, malformed frames, and concurrent client
-// mixes over loopback and TCP.
+// pre-facade one-shot pipeline), the one-shot ingest() entry point, and the
+// serve wire protocol — single client, malformed frames, and concurrent
+// client mixes over loopback and TCP.
 
 #include <gtest/gtest.h>
 
@@ -35,7 +35,7 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Ground truth: the pre-facade one-shot pipeline, inlined. Every bit-identity
-// test compares the session/wrapper output against this independent
+// test compares the session/ingest() output against this independent
 // implementation, not against another facade path.
 
 SparsifyResult reference_sparsify(const GraphStream& stream, int k, const SketchOptions& opt,
@@ -413,6 +413,29 @@ TEST(ServeSession, LifecycleValidation) {
   EXPECT_THROW(other.ingest(mismatched), std::logic_error);
 }
 
+TEST(ServeSession, RejectedBulkIngestKeepsStreamAndBankInAgreement) {
+  // An update that fails validation midway through a bulk ingest leaves
+  // the updates before it ingested — in the retained stream *and* the live
+  // bank — so later per-update and bulk ingest stay consistent with both.
+  SketchOptions opt;
+  opt.seed = 581;
+  GraphSession session(8, 1, {.sketch = opt});
+  session.insert(0, 1);
+  GraphStream rejected(8);
+  rejected.insert(2, 3);
+  rejected.insert(0, 1);  // live in the session: the bulk ingest throws here
+  EXPECT_THROW(session.ingest(rejected), std::logic_error);
+  EXPECT_EQ(session.stream().size(), 2u);
+  EXPECT_EQ(session.stats().updates, 2u);
+  session.insert(4, 5);
+  GraphStream more(8);
+  more.insert(6, 7);
+  session.ingest(more);
+  expect_same_result(session.query(), reference_sparsify(session.stream(), 1, opt));
+  EXPECT_EQ(graph_pairs(session.query().certificate),
+            (std::vector<std::pair<VertexId, VertexId>>{{0, 1}, {2, 3}, {4, 5}, {6, 7}}));
+}
+
 TEST(ServeSession, PendingUpdatesTrackTheGutters) {
   IngestOptions io;
   io.gutter.policy.max_halves = 1 << 20;
@@ -425,14 +448,16 @@ TEST(ServeSession, PendingUpdatesTrackTheGutters) {
 }
 
 // ---------------------------------------------------------------------------
-// Deprecated wrappers: bit-identical to the pre-facade pipeline
+// One-shot ingest() and one-query coordinated sessions, in the
+// configurations of the former one-shot entry points: bit-identical to the
+// pre-facade pipeline
 
 TEST(ServeWrappers, SparsifyStreamMatchesReference) {
   for (const std::uint64_t seed : {600u, 601u, 602u}) {
     const GraphStream stream = churned_stream(24, 2, seed);
     SketchOptions opt;
     opt.seed = seed + 7;
-    expect_same_result(sparsify_stream(stream, 2, opt), reference_sparsify(stream, 2, opt));
+    expect_same_result(ingest(stream, 2, {.sketch = opt}), reference_sparsify(stream, 2, opt));
   }
 }
 
@@ -442,9 +467,9 @@ TEST(ServeWrappers, ShardedSparsifyStreamMatchesReference) {
   opt.seed = 611;
   const SparsifyResult want = reference_sparsify(stream, 3, opt);
   for (const int shards : {1, 2, 3, 5}) {
-    ShardOptions sh;
-    sh.shards = shards;
-    expect_same_result(sharded_sparsify_stream(stream, 3, opt, sh), want);
+    IngestOptions io{.mode = IngestMode::kSharded, .sketch = opt};
+    io.shard.shards = shards;
+    expect_same_result(ingest(stream, 3, io), want);
   }
 }
 
@@ -454,10 +479,9 @@ TEST(ServeWrappers, AdaptiveWrappersMatchReference) {
   opt.seed = 621;
   opt.auto_size.enabled = true;
   const SparsifyResult want = reference_sparsify(stream, 2, opt);
-  expect_same_result(sparsify_stream(stream, 2, opt), want);
-  ShardOptions sh;
-  sh.shards = 2;
-  expect_same_result(sharded_sparsify_stream(stream, 2, opt, sh), want);
+  expect_same_result(ingest(stream, 2, {.sketch = opt}), want);
+  const IngestOptions sharded{.mode = IngestMode::kSharded, .sketch = opt, .shard = {.shards = 2}};
+  expect_same_result(ingest(stream, 2, sharded), want);
 }
 
 // ---------------------------------------------------------------------------
@@ -514,7 +538,10 @@ TEST(ServeWrappers, CoordinatedSparsifyMatchesReferenceForEveryFleetSize) {
   const SparsifyResult want = reference_sparsify(stream, 2, opt);
   for (const int workers : {1, 2, 3}) {
     WorkerFleet fleet(stream, workers);
-    expect_same_result(coordinated_sparsify(fleet.raw, stream.num_vertices(), 2, opt), want);
+    const IngestOptions io{.mode = IngestMode::kCoordinated, .sketch = opt, .workers = fleet.raw};
+    GraphSession session(stream.num_vertices(), 2, io);
+    expect_same_result(session.query(), want);
+    session.close();
     fleet.join();
   }
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "serve/session.hpp"
 #include "sketch/shard.hpp"
 #include "sketch/sketch_io.hpp"
 #include "sketch/stream.hpp"
@@ -186,24 +187,21 @@ TEST(ShardedIngest, BankBitIdenticalToSequential) {
 
 TEST(ShardedIngest, ShardCountNeverChangesRecoveredForests) {
   // Property test for the seed-splitting fix: across seeds, shard counts,
-  // modes, and batch sizes, the recovered forest set is the sequential one.
+  // and gutter flush sizes, the recovered forest set is the sequential one.
+  // (A kSharded session's gutters are always vertex ranges; the bank-level
+  // test above covers every Sharding mode of apply_sharded.)
   for (std::uint64_t seed : {3u, 7u, 31u}) {
     const GraphStream s = churned_stream(40, 2, seed);
     SketchOptions sopt;
     sopt.seed = 1000 + seed;
-    const SparsifyResult sequential = sparsify_stream(s, 2, sopt);
+    const SparsifyResult sequential = ingest(s, 2, {.sketch = sopt});
     const auto want = sorted_pairs(sequential.forests);
-    for (Sharding mode : {Sharding::kHash, Sharding::kVertexRange, Sharding::kDynamic}) {
-      for (int shards : {2, 4, 8}) {
-        ShardOptions opt;
-        opt.shards = shards;
-        opt.batch_size = shards == 4 ? 1 : 64;  // also vary batching
-        opt.sharding = mode;
-        const SparsifyResult sharded = sharded_sparsify_stream(s, 2, sopt, opt);
-        EXPECT_EQ(sorted_pairs(sharded.forests), want)
-            << "seed=" << seed << " shards=" << shards << " mode=" << static_cast<int>(mode);
-        EXPECT_EQ(sharded.copies_used, sequential.copies_used);
-      }
+    for (int shards : {2, 4, 8}) {
+      IngestOptions io{.mode = IngestMode::kSharded, .sketch = sopt, .shard = {.shards = shards}};
+      io.gutter.policy.max_halves = shards == 4 ? 1 : 64;  // also vary batching
+      const SparsifyResult sharded = ingest(s, 2, io);
+      EXPECT_EQ(sorted_pairs(sharded.forests), want) << "seed=" << seed << " shards=" << shards;
+      EXPECT_EQ(sharded.copies_used, sequential.copies_used);
     }
   }
 }
@@ -212,10 +210,9 @@ TEST(ShardedIngest, CertificateMatchesSequentialSparsify) {
   const GraphStream s = churned_stream(64, 3, 5);
   SketchOptions sopt;
   sopt.seed = 4242;
-  const SparsifyResult a = sparsify_stream(s, 3, sopt);
-  ShardOptions opt;
-  opt.shards = 4;
-  const SparsifyResult b = sharded_sparsify_stream(s, 3, sopt, opt);
+  const SparsifyResult a = ingest(s, 3, {.sketch = sopt});
+  const IngestOptions io{.mode = IngestMode::kSharded, .sketch = sopt, .shard = {.shards = 4}};
+  const SparsifyResult b = ingest(s, 3, io);
   ASSERT_EQ(a.certificate.num_edges(), b.certificate.num_edges());
   for (const Edge& e : a.certificate.edges()) EXPECT_TRUE(b.certificate.has_edge(e.u, e.v));
 }

@@ -9,6 +9,7 @@
 #include "graph/generators.hpp"
 #include "graph/traversal.hpp"
 #include "graph/union_find.hpp"
+#include "serve/session.hpp"
 #include "sketch/l0_sampler.hpp"
 #include "sketch/sketch_connectivity.hpp"
 #include "sketch/stream.hpp"
@@ -168,7 +169,7 @@ TEST(SketchConnectivity, CertificateIsKEdgeConnected) {
       GraphStream s = GraphStream::from_graph(g, rng);
       SketchOptions opt;
       opt.seed = 900 + static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(k);
-      const SparsifyResult r = sparsify_stream(s, k, opt);
+      const SparsifyResult r = ingest(s, k, {.sketch = opt});
       EXPECT_LE(r.certificate.num_edges(), k * (n - 1)) << "n=" << n << " k=" << k;
       EXPECT_TRUE(is_k_edge_connected(r.certificate, k)) << "n=" << n << " k=" << k;
       // Certificate edges are real edges of the streamed graph.
@@ -185,7 +186,7 @@ TEST(SketchConnectivity, ForestsAreEdgeDisjoint) {
   Graph g = random_kec(40, 3, 60, rng);
   SketchOptions opt;
   opt.seed = 77;
-  const SparsifyResult r = sparsify_stream(GraphStream::from_graph(g), 3, opt);
+  const SparsifyResult r = ingest(GraphStream::from_graph(g), 3, {.sketch = opt});
   ASSERT_EQ(r.forests.size(), 3u);
   auto pairs = sorted_pairs(r.forests);
   EXPECT_EQ(std::adjacent_find(pairs.begin(), pairs.end()), pairs.end());
@@ -197,8 +198,8 @@ TEST(SketchConnectivity, DeterministicGivenSeed) {
   const GraphStream s = GraphStream::from_graph(g);
   SketchOptions opt;
   opt.seed = 4242;
-  const SparsifyResult a = sparsify_stream(s, 2, opt);
-  const SparsifyResult b = sparsify_stream(s, 2, opt);
+  const SparsifyResult a = ingest(s, 2, {.sketch = opt});
+  const SparsifyResult b = ingest(s, 2, {.sketch = opt});
   EXPECT_EQ(sorted_pairs(a.forests), sorted_pairs(b.forests));
   EXPECT_EQ(a.certificate.num_edges(), b.certificate.num_edges());
 }
@@ -214,8 +215,8 @@ TEST(SketchConnectivity, ChurnCancelsExactly) {
   churned.churn(120, rng);
   SketchOptions opt;
   opt.seed = 1001;
-  const SparsifyResult a = sparsify_stream(plain, 2, opt);
-  const SparsifyResult b = sparsify_stream(churned, 2, opt);
+  const SparsifyResult a = ingest(plain, 2, {.sketch = opt});
+  const SparsifyResult b = ingest(churned, 2, {.sketch = opt});
   EXPECT_EQ(sorted_pairs(a.forests), sorted_pairs(b.forests));
 }
 
